@@ -45,6 +45,15 @@ import (
 	"tireplay/internal/serve"
 )
 
+// Connection timeouts: a client that never finishes its request headers, or
+// that leaves a keep-alive connection idle, cannot pin a connection
+// goroutine forever. Bodies and responses get no deadline, because trace
+// uploads and cold sweeps legitimately take long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:8347", "listen address (host:port; port 0 picks an ephemeral port)")
@@ -99,7 +108,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "tiserved: listening on %s\n", bound)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -70,7 +70,6 @@ func main() {
 		synthJitter  = flag.Float64("jitter", 0, "compute-volume jitter fraction in [0,1) for synthetic worlds")
 		workers      = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
 		forkMode     = flag.String("fork", "on", "shared-prefix forking: scenarios differing only in -coll/-ckpt replay their common prefix once (on/off)")
-		partition    = flag.Bool("partition", false, "split scenarios across kernels per disjoint platform component")
 		identity     = flag.Bool("no-mpi-model", false, "disable the piece-wise linear MPI model")
 		jsonPath     = flag.String("json", "", "write the JSON report to this file ('-' for stdout)")
 		timedDir     = flag.String("timed-dir", "", "write each scenario's timed trace to <dir>/scenario<i>.timed")
@@ -191,7 +190,6 @@ func main() {
 		Profile:        *profile,
 		Metrics:        *metricsOn || *metricsJSON != "",
 		MetricsWindows: *windows,
-		Partition:      *partition,
 		Fork:           fork,
 	}
 	if *identity {

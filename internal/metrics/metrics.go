@@ -121,11 +121,11 @@ type analysis struct {
 	sinkIDs [][]int
 }
 
-// Analyze computes the time-resolved report of one or more event sinks
-// (several sinks arise when a partitioned scenario replayed one platform
-// component per kernel; they are merged by process name). The result is a
-// pure function of the sink contents and the options — analysing the same
-// replay at any sweep worker count yields byte-identical JSON.
+// Analyze computes the time-resolved report of one or more event sinks,
+// merged by process name (tistat -metrics reads one sink per timed-trace
+// file). The result is a pure function of the sink contents and the
+// options — analysing the same replay at any sweep worker count yields
+// byte-identical JSON.
 func Analyze(sinks []*replay.MetricsSink, opt Options) *Report {
 	opt = opt.withDefaults()
 	a := &analysis{id: make(map[string]int)}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -148,24 +149,44 @@ func (t TopoSpec) Validate() error {
 	default:
 		return fmt.Errorf("platform: unknown topology kind %q", t.Kind)
 	}
+	if _, ok := t.hostCount(); !ok {
+		return fmt.Errorf("platform: %s: host count overflows an int", t)
+	}
 	return nil
 }
 
-// HostCount returns the number of hosts the spec generates.
+// HostCount returns the number of hosts a valid spec generates.
 func (t TopoSpec) HostCount() int {
+	n, _ := t.hostCount()
+	return n
+}
+
+// hostCount multiplies out the spec's size parameters; ok is false when the
+// product does not fit in an int.
+func (t TopoSpec) hostCount() (n int, ok bool) {
+	var factors []int
 	switch t.Kind {
 	case "fat-tree":
-		return t.K * t.K * t.K / 4
+		// K³/4 hosts, K even: (K/2)² hosts per pod times K pods.
+		factors = []int{t.K / 2, t.K / 2, t.K}
 	case "torus":
-		n := 1
-		for _, d := range t.Dims {
-			n *= d
-		}
-		return n
+		factors = t.Dims
 	case "dragonfly":
-		return t.Groups * t.Routers * t.HostsPer
+		factors = []int{t.Groups, t.Routers, t.HostsPer}
+	default:
+		return 0, true
 	}
-	return 0
+	n = 1
+	for _, f := range factors {
+		if f <= 0 {
+			return 0, true
+		}
+		if n > math.MaxInt/f {
+			return 0, false
+		}
+		n *= f
+	}
+	return n, true
 }
 
 // HostNames lists the generated host names in index order, without building

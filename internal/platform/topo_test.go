@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -19,9 +20,48 @@ func TestParseTopoRoundTrip(t *testing.T) {
 		"", "fat-tree", "fat-tree:3", "fat-tree:0", "fat-tree:4x4",
 		"torus:4", "torus:4x1", "torus:2x2x2x2", "dragonfly:2x2",
 		"dragonfly:1x2x2", "mesh:4x4", "torus:axb",
+		// Host counts that overflow an int.
+		"fat-tree:4194304", "torus:3000000x3000000x3000000",
 	} {
 		if _, err := ParseTopo(bad); err == nil {
 			t.Errorf("ParseTopo(%q): expected error", bad)
+		}
+	}
+}
+
+// TestTopoSpecTextRoundTrip pins the JSON form sweep reports carry: the
+// ParseTopo syntax, empty for no topology, and the Validate errors on input.
+func TestTopoSpecTextRoundTrip(t *testing.T) {
+	type row struct {
+		Topo TopoSpec `json:"topo"`
+	}
+	for _, s := range []string{"dragonfly:2x4x2", "torus:3x5", ""} {
+		var in row
+		if s != "" {
+			var err error
+			if in.Topo, err = ParseTopo(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`{"topo":%q}`, s); string(b) != want {
+			t.Fatalf("marshal %q = %s, want %s", s, b, want)
+		}
+		var out row
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Topo.String() != in.Topo.String() {
+			t.Fatalf("round trip %q = %q", s, out.Topo.String())
+		}
+	}
+	for _, bad := range []string{`{"topo":"torus:4"}`, `{"topo":"fat-tree:4194304"}`} {
+		var out row
+		if err := json.Unmarshal([]byte(bad), &out); err == nil {
+			t.Errorf("unmarshal %s: expected error", bad)
 		}
 	}
 }

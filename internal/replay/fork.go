@@ -28,12 +28,11 @@ var ErrForkUnsafe = errors.New("replay: forked run not provably equivalent")
 
 // Forkable reports whether a replay configuration may participate in a
 // shared-prefix fork group at all. Custom registries are opaque (a handler
-// may keep state across the cut), partitioned runs replay on sub-kernels the
-// planner does not model, and fail-stops without a checkpoint policy play
-// out inside the kernel — killing parked ranks the donor cannot represent.
+// may keep state across the cut), and fail-stops without a checkpoint policy
+// play out inside the kernel — killing parked ranks the donor cannot
+// represent.
 func (c *Config) Forkable() bool {
-	return c.Registry == nil && c.Ranks == nil &&
-		!(c.Faults.FailStops() && c.Ckpt == nil)
+	return c.Registry == nil && !(c.Faults.FailStops() && c.Ckpt == nil)
 }
 
 // CollectiveDependent reports whether replaying an action depends on
@@ -294,13 +293,6 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 		return nil, fmt.Errorf("replay: configuration not forkable")
 	}
 	cfg.setDefaults()
-	worldN := cfg.WorldSize
-	if worldN == 0 {
-		worldN = n
-	}
-	if worldN < n {
-		return nil, fmt.Errorf("replay: world size %d below %d deployed processes", worldN, n)
-	}
 	k := b.Kernel
 	k.SetRateModel(cfg.Model.RateModel())
 	cfg.Faults.InjectDegradations(k)
@@ -314,13 +306,7 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 
 	pr := &PrefixRun{build: b, depl: depl, opt: opt,
 		park: make([]float64, n), rec: rec}
-	r := &run{
-		cfg:         cfg,
-		world:       &world{k: k, n: worldN, stringMailboxes: cfg.StringMailboxes},
-		errs:        make([]error, n),
-		rankActions: make([]int64, n),
-		failed:      make([]*simx.FailedError, n),
-	}
+	r := newRun(cfg, k, n)
 	for i, pd := range depl.Processes {
 		host := k.Host(pd.Host)
 		if host == nil {
@@ -460,17 +446,7 @@ func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) 
 		donorLast: pr.rec.lastEnd, donorEnds: pr.rec.ends}
 	k.SetTracer(rec)
 
-	worldN := cfg.WorldSize
-	if worldN == 0 {
-		worldN = n
-	}
-	r := &run{
-		cfg:         cfg,
-		world:       &world{k: k, n: worldN, stringMailboxes: cfg.StringMailboxes},
-		errs:        make([]error, n),
-		rankActions: make([]int64, n),
-		failed:      make([]*simx.FailedError, n),
-	}
+	r := newRun(cfg, k, n)
 	// Spawn in donor park order: ranks parked at the same instant resume in
 	// the order they parked, so the event queue wakes them exactly as the
 	// from-scratch interleaving would.

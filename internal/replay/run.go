@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -41,16 +40,6 @@ type Config struct {
 	// replays every collective as the paper's linear star through rank 0;
 	// coll.Auto selects per message size from the MPI model's segments.
 	Collectives coll.Config
-	// Ranks maps the deployment's i-th process entry to the global MPI rank
-	// it replays; nil means the identity mapping. The sweep engine's
-	// platform partitioner uses it to run one connected component's subset
-	// of ranks on its own kernel while the traces keep naming global ranks.
-	Ranks []int
-	// WorldSize is the communicator size the handlers see (comm_size
-	// validation, peer range checks, collective fan-out); zero means the
-	// number of deployed processes. It must cover every rank and peer the
-	// replayed traces name.
-	WorldSize int
 	// Faults is the availability profile injected into the run; nil replays
 	// fault-free. Index clauses ("host:0") address the deployment's process
 	// slots in order. Without Ckpt the recovery policy is abort: fail-stops
@@ -334,16 +323,28 @@ type run struct {
 	world *world
 	errs  []error
 
-	// rankActions[slot] counts the actions rank slot completed; failed[slot]
-	// records the fail-stop that killed it. Plain slices: the kernel
-	// schedules one rank at a time and k.Run establishes the happens-before
-	// with the caller — which is also why the run needs no atomic total, the
-	// per-slot counters sum up after k.Run returns.
+	// rankActions[r] counts the actions rank r completed; failed[r] records
+	// the fail-stop that killed it. Plain slices: the kernel schedules one
+	// rank at a time and k.Run establishes the happens-before with the
+	// caller — which is also why the run needs no atomic total, the per-rank
+	// counters sum up after k.Run returns.
 	rankActions []int64
 	failed      []*simx.FailedError
 }
 
-// actions totals the per-slot action counters; call only after k.Run.
+// newRun allocates the state of one replay of n ranks on kernel k; the
+// communicator the handlers see spans exactly the n deployed processes.
+func newRun(cfg Config, k *simx.Kernel, n int) *run {
+	return &run{
+		cfg:         cfg,
+		world:       &world{k: k, n: n, stringMailboxes: cfg.StringMailboxes},
+		errs:        make([]error, n),
+		rankActions: make([]int64, n),
+		failed:      make([]*simx.FailedError, n),
+	}
+}
+
+// actions totals the per-rank action counters; call only after k.Run.
 func (r *run) actions() int64 {
 	var sum int64
 	for _, n := range r.rankActions {
@@ -353,9 +354,8 @@ func (r *run) actions() int64 {
 }
 
 // Run replays one Source per rank on the platform: the engine of the whole
-// framework. The deployment's i-th process entry maps rank i onto its host
-// (or onto cfg.Ranks[i] for a partitioned run). The build's kernel is
-// consumed by the run.
+// framework. The deployment's i-th process entry maps rank i onto its host.
+// The build's kernel is consumed by the run.
 //
 // Run is safe to call concurrently from multiple goroutines as long as each
 // call gets its own Build (the kernel is mutated), its own Sources (cursors
@@ -370,16 +370,6 @@ func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Sou
 		return nil, fmt.Errorf("replay: %d sources for %d deployed processes", len(sources), n)
 	}
 	cfg.setDefaults()
-	worldN := cfg.WorldSize
-	if worldN == 0 {
-		worldN = n
-	}
-	if worldN < n {
-		return nil, fmt.Errorf("replay: world size %d below %d deployed processes", worldN, n)
-	}
-	if cfg.Ranks != nil && len(cfg.Ranks) != n {
-		return nil, fmt.Errorf("replay: %d rank mappings for %d deployed processes", len(cfg.Ranks), n)
-	}
 	k := b.Kernel
 	k.SetRateModel(cfg.Model.RateModel())
 	if cfg.TimedTracer != nil {
@@ -408,34 +398,13 @@ func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Sou
 		// the fault-free run (see applyCkpt).
 	}
 
-	r := &run{
-		cfg:         cfg,
-		world:       &world{k: k, n: worldN, stringMailboxes: cfg.StringMailboxes},
-		errs:        make([]error, n),
-		rankActions: make([]int64, n),
-		failed:      make([]*simx.FailedError, n),
-	}
-	var taken map[int]bool
-	if cfg.Ranks != nil {
-		taken = make(map[int]bool, n)
-	}
+	r := newRun(cfg, k, n)
 	for i, pd := range depl.Processes {
 		host := k.Host(pd.Host)
 		if host == nil {
 			return nil, fmt.Errorf("replay: deployment host %q not in platform", pd.Host)
 		}
-		rank := i
-		if cfg.Ranks != nil {
-			rank = cfg.Ranks[i]
-			if rank < 0 || rank >= worldN {
-				return nil, fmt.Errorf("replay: rank mapping %d outside world of %d", rank, worldN)
-			}
-			if taken[rank] {
-				return nil, fmt.Errorf("replay: rank %d mapped twice", rank)
-			}
-			taken[rank] = true
-		}
-		r.spawnRank(k, pd.Function, host, i, rank, sources[i])
+		r.spawnRank(k, pd.Function, host, i, sources[i])
 	}
 
 	start := time.Now()
@@ -446,20 +415,15 @@ func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Sou
 			return nil, err
 		}
 	}
-	var lost []RankFailure
-	for slot, fe := range r.failed {
+	var lost []RankFailure // in rank order
+	for rank, fe := range r.failed {
 		if fe == nil {
 			continue
 		}
-		rank := slot
-		if cfg.Ranks != nil {
-			rank = cfg.Ranks[slot]
-		}
-		lost = append(lost, RankFailure{Rank: rank, Host: depl.Processes[slot].Host,
-			Actions: r.rankActions[slot], At: fe.Time, Cause: fe.Error()})
+		lost = append(lost, RankFailure{Rank: rank, Host: depl.Processes[rank].Host,
+			Actions: r.rankActions[rank], At: fe.Time, Cause: fe.Error()})
 	}
 	if len(lost) > 0 {
-		sort.Slice(lost, func(i, j int) bool { return lost[i].Rank < lost[j].Rank })
 		// Survivors blocked on a rendezvous with a dead rank deadlock when
 		// the queue drains; that is the expected shape of an aborted run,
 		// not a stall.
@@ -483,10 +447,9 @@ func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Sou
 	return res, nil
 }
 
-// spawnRank creates the kernel process replaying one rank's source. slot is
-// the deployment index (the run-local error slot), rank the global MPI rank
-// the trace names.
-func (r *run) spawnRank(k *simx.Kernel, fn string, host *simx.Host, slot, rank int, src Source) {
+// spawnRank creates the kernel process replaying one rank's source; rank is
+// both the deployment index and the MPI rank the trace names.
+func (r *run) spawnRank(k *simx.Kernel, fn string, host *simx.Host, rank int, src Source) {
 	// The rank-local caches intern the point-to-point mailbox IDs: the
 	// first rendezvous with a peer resolves the name once, every later one
 	// addresses the dense ID with no strconv or map hash; only pairs the
@@ -501,7 +464,7 @@ func (r *run) spawnRank(k *simx.Kernel, fn string, host *simx.Host, slot, rank i
 				// A fail-stop killed the rank (its own host, or a peer's
 				// death propagated through a rendezvous): record the loss
 				// and die quietly — Run diagnoses it after the simulation.
-				r.failed[slot] = fe
+				r.failed[rank] = fe
 				return
 			}
 			panic(rec)
@@ -511,26 +474,26 @@ func (r *run) spawnRank(k *simx.Kernel, fn string, host *simx.Host, slot, rank i
 		for {
 			a, ok, err := src.Next()
 			if err != nil {
-				r.errs[slot] = fmt.Errorf("replay: p%d trace: %w", rank, err)
+				r.errs[rank] = fmt.Errorf("replay: p%d trace: %w", rank, err)
 				return
 			}
 			if !ok {
 				return
 			}
 			if a.Proc != rank {
-				r.errs[slot] = fmt.Errorf("replay: p%d trace contains action of p%d", rank, a.Proc)
+				r.errs[rank] = fmt.Errorf("replay: p%d trace contains action of p%d", rank, a.Proc)
 				return
 			}
 			h, err := r.cfg.Registry.Lookup(a.Type)
 			if err != nil {
-				r.errs[slot] = err
+				r.errs[rank] = err
 				return
 			}
 			if err := h(p, a); err != nil {
-				r.errs[slot] = err
+				r.errs[rank] = err
 				return
 			}
-			r.rankActions[slot]++
+			r.rankActions[rank]++
 		}
 	})
 }

@@ -382,9 +382,6 @@ type SweepRequest struct {
 	Synth *SynthSpec `json:"synth,omitempty"`
 	// NoMPIModel disables the piece-wise linear MPI model.
 	NoMPIModel bool `json:"no_mpi_model,omitempty"`
-	// Partition splits scenarios across kernels per disjoint platform
-	// component.
-	Partition bool `json:"partition,omitempty"`
 	// Fork toggles shared-prefix forking (default on). Forking is proven
 	// result-identical, so this knob does not shape the response and is
 	// not part of the cache key.
@@ -409,7 +406,6 @@ type ScenarioRow struct {
 	Name          string                `json:"name"`
 	SimulatedTime float64               `json:"simulated_time"`
 	Actions       int64                 `json:"actions"`
-	Components    int                   `json:"components"`
 	Resilience    *replay.Resilience    `json:"resilience,omitempty"`
 	Profile       []*replay.ProcProfile `json:"profile,omitempty"`
 	Metrics       *metrics.Report       `json:"metrics,omitempty"`
@@ -430,18 +426,18 @@ type SweepResponse struct {
 
 // sweepPlan is a parsed, canonicalized sweep request.
 type sweepPlan struct {
-	key                             string // canonical cache key
-	digest                          string // empty: all-synthetic, no stored trace
-	platKey                         string
-	platform                        *platform.Platform
-	grid                            sweep.Grid
-	synth                           *synth.Model
-	synthSpec                       synth.Spec
-	synthKey                        string // canonical model+knobs identity
-	identity                        bool
-	partition, timed, profile, fork bool
-	metrics                         bool
-	metricsWindows                  int
+	key                  string // canonical cache key
+	digest               string // empty: all-synthetic, no stored trace
+	platKey              string
+	platform             *platform.Platform
+	grid                 sweep.Grid
+	synth                *synth.Model
+	synthSpec            synth.Spec
+	synthKey             string // canonical model+knobs identity
+	identity             bool
+	timed, profile, fork bool
+	metrics              bool
+	metricsWindows       int
 }
 
 // parseSweep decodes, validates and canonicalizes a request body.
@@ -487,7 +483,7 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 	}
 
 	p := &sweepPlan{digest: req.Trace, identity: req.NoMPIModel,
-		partition: req.Partition, timed: req.Timed, profile: req.Profile, fork: true,
+		timed: req.Timed, profile: req.Profile, fork: true,
 		metrics: req.Metrics || req.MetricsWindows > 0}
 	if p.metrics {
 		p.metricsWindows = req.MetricsWindows
@@ -607,8 +603,8 @@ func canonicalSweepKey(p *sweepPlan) string {
 	b.WriteString(p.digest)
 	b.WriteByte('\n')
 	b.WriteString(p.platKey)
-	fmt.Fprintf(&b, "\nmodel=%t part=%t timed=%t prof=%t metrics=%t win=%d",
-		p.identity, p.partition, p.timed, p.profile, p.metrics, p.metricsWindows)
+	fmt.Fprintf(&b, "\nmodel=%t timed=%t prof=%t metrics=%t win=%d",
+		p.identity, p.timed, p.profile, p.metrics, p.metricsWindows)
 	b.WriteString("\nlat=")
 	writeFloats(&b, p.grid.LatencyScale)
 	b.WriteString("\nbw=")
@@ -809,7 +805,6 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, bodyHash [32]byt
 		Profile:        plan.profile,
 		Metrics:        plan.metrics,
 		MetricsWindows: plan.metricsWindows,
-		Partition:      plan.partition,
 		Fork:           plan.fork,
 	}
 	if plan.identity {
@@ -830,8 +825,7 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, bodyHash [32]byt
 		sc := &res.Scenarios[i]
 		resp.Scenarios[i] = ScenarioRow{
 			Scenario: sc.Scenario, Name: sc.Name,
-			SimulatedTime: sc.SimulatedTime, Actions: sc.Actions,
-			Components: sc.Components, Resilience: sc.Resilience,
+			SimulatedTime: sc.SimulatedTime, Actions: sc.Actions, Resilience: sc.Resilience,
 			Profile: sc.Profile, Metrics: sc.Metrics, Timed: sc.TimedTrace, Err: sc.Err,
 		}
 		if sc.Err != "" {

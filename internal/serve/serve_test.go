@@ -166,6 +166,7 @@ func TestSweepRequestValidation(t *testing.T) {
 		status     int
 	}{
 		{"unknown field", fmt.Sprintf(`{"trace":%q,"grids":{}}`, dig), http.StatusBadRequest},
+		{"removed partition field", fmt.Sprintf(`{"trace":%q,"partition":true,"grid":{}}`, dig), http.StatusBadRequest},
 		{"missing trace", `{"grid":{"lat":"1"}}`, http.StatusBadRequest},
 		{"unknown digest", `{"trace":"sha256:00","grid":{"lat":"1"}}`, http.StatusNotFound},
 		{"bad axis", fmt.Sprintf(`{"trace":%q,"grid":{"lat":"fast"}}`, dig), http.StatusBadRequest},

@@ -9,10 +9,9 @@
 // simulator"): the trace is acquired once, parsed once, and shared read-only
 // between workers; each scenario owns every piece of mutable state its
 // replay touches (kernel, pools, interning tables, tracer), so results are
-// byte-identical whatever the worker count. When the scenario platform
-// decomposes into disjoint connected components and the trace's
-// communication graph respects the partition, the engine additionally
-// splits one scenario across several kernels (see partition.go).
+// byte-identical whatever the worker count. Each scenario replays as one
+// task on one kernel; scenarios that share a trace prefix may fork from a
+// common donor kernel instead (see fork.go).
 package sweep
 
 import (
